@@ -218,220 +218,6 @@ pub fn load(bytes: &[u8]) -> Result<AnnotationStore, SnapshotError> {
     Ok(store)
 }
 
-const SLICE_MAGIC: &[u8; 8] = b"NEBSLC1\0";
-
-/// Partition a store into `shards` snapshot **slices** by annotation
-/// ownership. `assign` maps each annotation id to its owning shard;
-/// slice `i` carries shard `i`'s annotations (bodies, edges, and cell
-/// refinements) and nothing else, so the slices are disjoint and their
-/// union is the whole store. [`merge`] reassembles them into a store
-/// whose [`save`] bytes are identical to the original's — the canonical
-/// (sorted) encoding makes the partition/merge round-trip byte-exact
-/// regardless of how ownership is assigned.
-///
-/// Layout of one slice (little-endian):
-///
-/// ```text
-/// magic "NEBSLC1\0"
-/// u64 total_annotations (across ALL slices; density check on merge)
-/// u64 owned_count
-/// per owned annotation: u64 id, string text, opt string author, opt string kind
-/// u64 edge_count / edges as in the full snapshot (owned annotations only)
-/// u64 cell_count / cells as in the full snapshot (owned annotations only)
-/// ```
-pub fn partition(
-    store: &AnnotationStore,
-    shards: usize,
-    assign: &dyn Fn(AnnotationId) -> usize,
-) -> Vec<Bytes> {
-    let shards = shards.max(1);
-    let mut slices = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let owned = |aid: AnnotationId| assign(aid) % shards == shard;
-        let mut buf = BytesMut::new();
-        buf.put_slice(SLICE_MAGIC);
-        buf.put_u64_le(store.annotation_count() as u64);
-        let annotations: Vec<_> = store.iter_annotations().filter(|(id, _)| owned(*id)).collect();
-        buf.put_u64_le(annotations.len() as u64);
-        for (id, a) in annotations {
-            buf.put_u64_le(id.0);
-            put_string(&mut buf, &a.text);
-            put_opt_string(&mut buf, &a.author);
-            put_opt_string(&mut buf, &a.kind);
-        }
-        let mut edges: Vec<_> = store.iter_edges().filter(|e| owned(e.annotation)).collect();
-        edges.sort_by_key(|e| (e.annotation, e.tuple));
-        buf.put_u64_le(edges.len() as u64);
-        for e in edges {
-            buf.put_u64_le(e.annotation.0);
-            put_tuple_id(&mut buf, e.tuple);
-            buf.put_u8(match e.kind {
-                EdgeKind::True => 0,
-                EdgeKind::Predicted => 1,
-            });
-            buf.put_f64_le(e.weight);
-        }
-        let mut cells: Vec<(AnnotationId, TupleId, ColumnId)> =
-            store.iter_cell_columns().filter(|(aid, _, _)| owned(*aid)).collect();
-        cells.sort();
-        buf.put_u64_le(cells.len() as u64);
-        for (aid, tid, cid) in cells {
-            buf.put_u64_le(aid.0);
-            put_tuple_id(&mut buf, tid);
-            buf.put_u32_le(cid.0);
-        }
-        slices.push(buf.freeze());
-    }
-    slices
-}
-
-struct DecodedSlice {
-    total: u64,
-    annotations: Vec<(AnnotationId, Annotation)>,
-    edges: Vec<(AnnotationId, TupleId, u8, f64)>,
-    cells: Vec<(AnnotationId, TupleId, ColumnId)>,
-}
-
-fn decode_slice(bytes: &[u8]) -> Result<DecodedSlice, SnapshotError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < SLICE_MAGIC.len()
-        || &buf.copy_to_bytes(SLICE_MAGIC.len())[..] != SLICE_MAGIC
-    {
-        return Err(SnapshotError::BadMagic);
-    }
-    if buf.remaining() < 16 {
-        return Err(SnapshotError::Truncated("slice header"));
-    }
-    let total = buf.get_u64_le();
-    let count = buf.get_u64_le();
-    if count > total || count > (buf.remaining() / 8) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible slice count {count}")));
-    }
-    let mut annotations = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("slice annotation id"));
-        }
-        let id = AnnotationId(buf.get_u64_le());
-        let text = get_string(&mut buf)?;
-        let author = get_opt_string(&mut buf)?;
-        let kind = get_opt_string(&mut buf)?;
-        let mut a = Annotation::new(text);
-        a.author = author;
-        a.kind = kind;
-        annotations.push((id, a));
-    }
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated("slice edge count"));
-    }
-    let edge_count = buf.get_u64_le();
-    if edge_count > (buf.remaining() / 29) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible slice edge count {edge_count}")));
-    }
-    let mut edges = Vec::with_capacity(edge_count as usize);
-    for _ in 0..edge_count {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("slice edge annotation"));
-        }
-        let aid = AnnotationId(buf.get_u64_le());
-        let tid = get_tuple_id(&mut buf)?;
-        if buf.remaining() < 9 {
-            return Err(SnapshotError::Truncated("slice edge kind/weight"));
-        }
-        let kind = buf.get_u8();
-        let weight = buf.get_f64_le();
-        edges.push((aid, tid, kind, weight));
-    }
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated("slice cell count"));
-    }
-    let cell_count = buf.get_u64_le();
-    if cell_count > (buf.remaining() / 24) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible slice cell count {cell_count}")));
-    }
-    let mut cells = Vec::with_capacity(cell_count as usize);
-    for _ in 0..cell_count {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("slice cell annotation"));
-        }
-        let aid = AnnotationId(buf.get_u64_le());
-        let tid = get_tuple_id(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(SnapshotError::Truncated("slice cell column"));
-        }
-        cells.push((aid, tid, ColumnId(buf.get_u32_le())));
-    }
-    Ok(DecodedSlice { total, annotations, edges, cells })
-}
-
-/// Merge snapshot slices produced by [`partition`] back into one store.
-///
-/// Fails if the slices disagree on the total annotation count, collide on
-/// an id, or do not cover the dense id range `0..total` — i.e. if a shard
-/// slice is missing, duplicated, or from a diverged replica.
-pub fn merge(slices: &[Bytes]) -> Result<AnnotationStore, SnapshotError> {
-    let mut total: Option<u64> = None;
-    let mut bodies: Vec<Option<Annotation>> = Vec::new();
-    let mut edges = Vec::new();
-    let mut cells = Vec::new();
-    for slice in slices {
-        let decoded = decode_slice(slice)?;
-        match total {
-            None => {
-                total = Some(decoded.total);
-                bodies.resize(decoded.total as usize, None);
-            }
-            Some(t) if t != decoded.total => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "slices disagree on annotation total: {t} vs {}",
-                    decoded.total
-                )));
-            }
-            Some(_) => {}
-        }
-        for (id, a) in decoded.annotations {
-            let slot = bodies.get_mut(id.0 as usize).ok_or_else(|| {
-                SnapshotError::Corrupt(format!("slice annotation {} out of range", id.0))
-            })?;
-            if slot.is_some() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "annotation {} owned by two slices",
-                    id.0
-                )));
-            }
-            *slot = Some(a);
-        }
-        edges.extend(decoded.edges);
-        cells.extend(decoded.cells);
-    }
-    let mut store = AnnotationStore::new();
-    for (i, body) in bodies.into_iter().enumerate() {
-        let body = body.ok_or_else(|| {
-            SnapshotError::Corrupt(format!("annotation {i} missing from every slice"))
-        })?;
-        store.add_annotation(body);
-    }
-    edges.sort_by_key(|e| (e.0, e.1));
-    for (aid, tid, kind, weight) in edges {
-        match kind {
-            0 => store
-                .attach(aid, AttachmentTarget::tuple(tid))
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-            1 => store
-                .attach_predicted(aid, tid, weight)
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-            t => return Err(SnapshotError::Corrupt(format!("slice edge kind tag {t}"))),
-        }
-    }
-    cells.sort();
-    for (aid, tid, cid) in cells {
-        store
-            .restore_cell_column(aid, tid, cid)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    }
-    Ok(store)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,38 +262,6 @@ mod tests {
         };
         assert_eq!(restored.focal(AnnotationId(0)), original.focal(AnnotationId(0)));
         assert_eq!(sorted(restored.annotations_of(t(1))), sorted(original.annotations_of(t(1))));
-    }
-
-    #[test]
-    fn partition_merge_roundtrips_byte_exactly() {
-        let original = sample();
-        for shards in [1usize, 2, 3, 5] {
-            // Ownership by id round-robin and by a skewed assignment both
-            // reassemble into the same canonical bytes.
-            for assign in
-                [&(|aid: AnnotationId| aid.0 as usize) as &dyn Fn(AnnotationId) -> usize, &|_aid| 0]
-            {
-                let slices = partition(&original, shards, assign);
-                assert_eq!(slices.len(), shards);
-                let merged = merge(&slices).expect("merge");
-                assert_eq!(save(&merged), save(&original), "{shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn merge_rejects_missing_duplicate_and_disagreeing_slices() {
-        let original = sample();
-        let slices = partition(&original, 2, &|aid| aid.0 as usize);
-        // Missing slice: the uncovered id range fails the density check.
-        assert!(merge(&slices[..1]).is_err());
-        // Duplicate slice: id collision.
-        assert!(merge(&[slices[0].clone(), slices[0].clone()]).is_err());
-        // Disagreeing totals: a slice from a different-sized store.
-        let mut bigger = sample();
-        bigger.add_annotation(Annotation::new("extra"));
-        let other = partition(&bigger, 2, &|aid| aid.0 as usize);
-        assert!(merge(&[slices[0].clone(), other[1].clone()]).is_err());
     }
 
     #[test]

@@ -1,27 +1,12 @@
 //! `reproduce` — regenerate every table and figure of the Nebula paper.
 //!
 //! ```text
-//! cargo run -p nebula-bench --release --bin reproduce -- [--fast] <experiment>
-//!
-//! experiments:
-//!   fig11a fig11b fig11c     query generation (time / counts / quality)
-//!   fig12a fig12b            execution time / produced tuples
-//!   fig13                    multi-query shared execution
-//!   fig14a fig14b            focal-spreading search
-//!   fig15a fig15b            verification & assessment criteria
-//!   naive-assess             §8.2 naive-baseline assessment
-//!   profile                  Figure 7 hop profile + K selection
-//!   durability               WAL append overhead + recovery vs log length
-//!   overload                 concurrent ingest under arrival pressure
-//!   replication              WAL shipping under transport faults
-//!   sharding                 scatter-gather ingest across shard counts
-//!   repair                   reconvergence cost vs divergence depth
-//!   recovery                 backup cost + restore time vs archive depth
-//!   paging                   paged storage vs RAM across pool sizes
-//!   tracing                  trace overhead + critical-path attribution
-//!   ablation-acg ablation-querygen ablation-stability
-//!   all                      everything above
+//! cargo run -p nebula-bench --release --bin reproduce -- [--fast] <experiment>...
 //! ```
+//!
+//! `reproduce help` lists the experiments (the `EXPERIMENTS` table);
+//! `all`, or no name at all, runs every one of them in table order. An
+//! unknown name is an error reported before any experiment runs.
 //!
 //! `--fast` shrinks the datasets ~10× (shapes preserved) for quick runs.
 //!
@@ -35,8 +20,69 @@
 
 use nebula_bench::{
     ablation, degradation, durability, fig11, fig12, fig13, fig14, fig15, overload, paging,
-    pipeline, profile, recovery, repair, replication, sharding, tracing, Scale, Setup,
+    pipeline, profile, recovery, repair, replication, tracing, Scale, Setup,
 };
+
+/// Every experiment, in `all` order, with its `help` line. The `all`
+/// list, the `help` text and name validation all read this table.
+const EXPERIMENTS: &[(&str, &str)] = &[
+    ("fig11a", "query-generation time per phase (Figure 11a)"),
+    ("fig11b", "number of generated keyword queries (Figure 11b)"),
+    ("fig11c", "false positives / negatives of generated queries (Figure 11c)"),
+    ("fig12a", "keyword-query execution time (Figure 12a)"),
+    ("fig12b", "keyword-query produced tuples (Figure 12b)"),
+    ("fig13", "multi-query shared execution (Figure 13)"),
+    ("fig14a", "focal-spreading execution time (Figure 14a)"),
+    ("fig14b", "focal-spreading produced tuples (Figure 14b)"),
+    ("fig15a", "assessment criteria, auto-adjusted bounds (Figure 15a)"),
+    ("fig15b", "assessment criteria, no expert involvement (Figure 15b)"),
+    ("naive-assess", "naive-baseline assessment (section 8.2)"),
+    ("profile", "Figure 7 hop profile + K selection"),
+    ("pipeline", "end-to-end batch pipeline with stage attribution"),
+    ("degradation", "batch ingest under budgets and faults"),
+    ("durability", "WAL append overhead + recovery vs log length"),
+    ("overload", "concurrent ingest under arrival pressure"),
+    ("replication", "WAL shipping under transport faults"),
+    ("repair", "reconvergence cost vs divergence depth"),
+    ("recovery", "backup cost + restore time vs archive depth"),
+    ("paging", "paged storage vs RAM across pool sizes"),
+    ("tracing", "trace overhead + critical-path attribution"),
+    ("ablation-acg", "ACG focal-based confidence adjustment"),
+    ("ablation-learn", "learned ConceptRefs vs curated"),
+    ("ablation-querygen", "query-generation features"),
+    ("ablation-stability", "ACG stability gate"),
+];
+
+/// What the positional arguments ask for.
+#[derive(Debug, PartialEq)]
+enum Selection {
+    /// Print the experiment table.
+    Help,
+    /// Run these experiments, in order.
+    Run(Vec<&'static str>),
+}
+
+/// Resolve the positional arguments against [`EXPERIMENTS`]. `help`
+/// wins; `all` (or no name) selects every experiment. Any other name
+/// must be in the table, or the whole selection is rejected.
+fn select(names: &[&str]) -> Result<Selection, String> {
+    let lookup = |name: &str| EXPERIMENTS.iter().find(|(e, _)| *e == name).map(|(e, _)| *e);
+    let unknown: Vec<&str> = names
+        .iter()
+        .copied()
+        .filter(|n| !matches!(*n, "help" | "all") && lookup(n).is_none())
+        .collect();
+    if !unknown.is_empty() {
+        return Err(format!("unknown experiment(s): {} (try `help`)", unknown.join(", ")));
+    }
+    if names.contains(&"help") {
+        return Ok(Selection::Help);
+    }
+    if names.is_empty() || names.contains(&"all") {
+        return Ok(Selection::Run(EXPERIMENTS.iter().map(|(e, _)| *e).collect()));
+    }
+    Ok(Selection::Run(names.iter().filter_map(|n| lookup(n)).collect()))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,47 +106,22 @@ fn main() {
     if traces_dir.is_some() {
         nebula_obs::trace::set_enabled(true);
     }
-    let experiments: Vec<&str> =
+    let names: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
-    let chosen: Vec<&str> = if experiments.is_empty() || experiments.contains(&"all") {
-        vec![
-            "fig11a",
-            "fig11b",
-            "fig11c",
-            "fig12a",
-            "fig12b",
-            "fig13",
-            "fig14a",
-            "fig14b",
-            "fig15a",
-            "fig15b",
-            "naive-assess",
-            "profile",
-            "pipeline",
-            "degradation",
-            "durability",
-            "overload",
-            "replication",
-            "sharding",
-            "repair",
-            "recovery",
-            "paging",
-            "tracing",
-            "ablation-acg",
-            "ablation-learn",
-            "ablation-querygen",
-            "ablation-stability",
-        ]
-    } else if experiments.contains(&"help") {
-        println!(
-            "experiments: fig11a fig11b fig11c fig12a fig12b fig13 fig14a fig14b \
-             fig15a fig15b naive-assess profile pipeline degradation durability \
-             overload replication sharding repair recovery paging tracing ablation-acg \
-             ablation-learn ablation-querygen ablation-stability all"
-        );
-        return;
-    } else {
-        experiments
+    let chosen = match select(&names) {
+        Ok(Selection::Run(chosen)) => chosen,
+        Ok(Selection::Help) => {
+            println!("experiments:");
+            for (name, what) in EXPERIMENTS {
+                println!("  {name:<20} {what}");
+            }
+            println!("  {:<20} everything above", "all");
+            return;
+        }
+        Err(e) => {
+            eprintln!("[reproduce] {e}");
+            std::process::exit(2);
+        }
     };
 
     eprintln!("[reproduce] scale = {scale:?}");
@@ -245,11 +266,6 @@ fn main() {
                 let setup = Setup::small(scale);
                 replication::table(&replication::run(&setup, if fast { 30 } else { 80 })).print();
             }
-            "sharding" => {
-                eprintln!("[reproduce] generating D_small ...");
-                let setup = Setup::small(scale);
-                sharding::table(&sharding::run(&setup, if fast { 24 } else { 64 })).print();
-            }
             "repair" => {
                 repair::table(&repair::run(if fast { 48 } else { 160 })).print();
             }
@@ -279,9 +295,7 @@ fn main() {
             "ablation-stability" => {
                 ablation::stability_ablation(get_large!()).print();
             }
-            other => {
-                eprintln!("[reproduce] unknown experiment `{other}` — try `help`");
-            }
+            other => unreachable!("`{other}` is in EXPERIMENTS but has no runner"),
         }
         if let (Some(dir), Some(base)) = (&metrics_dir, baseline) {
             let diff = nebula_obs::snapshot().diff(&base);
@@ -311,5 +325,24 @@ fn main() {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn select_rejects_unknown_names_and_accepts_every_table_entry() {
+        assert!(select(&["bogus"]).is_err());
+        assert!(select(&["fig13", "fig99"]).is_err(), "one bad name rejects the whole run");
+        assert!(select(&["help", "bogus"]).is_err());
+        for (name, _) in EXPERIMENTS {
+            assert_eq!(select(&[name]), Ok(Selection::Run(vec![*name])), "{name}");
+        }
+        let all: Vec<&str> = EXPERIMENTS.iter().map(|(e, _)| *e).collect();
+        assert_eq!(select(&[]), Ok(Selection::Run(all.clone())));
+        assert_eq!(select(&["all"]), Ok(Selection::Run(all)));
+        assert_eq!(select(&["help"]), Ok(Selection::Help));
     }
 }

@@ -25,7 +25,6 @@ pub mod recovery;
 pub mod repair;
 pub mod replication;
 pub mod setup;
-pub mod sharding;
 pub mod table;
 pub mod tracing;
 

@@ -34,15 +34,15 @@ use textsearch::{
     SearchOptions, SearchStats,
 };
 
-/// A pluggable Stage 2 group searcher a distribution layer can install in
-/// front of the engine's local full-database search (e.g. the shard
-/// scatter-gather router in `nebula-shard`).
+/// A pluggable Stage 2 group searcher installed in front of the engine's
+/// local full-database search (e.g. a timing wrapper in a benchmark, or a
+/// test double that substitutes its own hits).
 ///
 /// Mirrors [`SearchBackend::run_group`] but is `Send` (the ingest pool
 /// drives engines from worker threads) and `Debug` (the engine derives
 /// it). Only the *full* search routes through the override; focal-spread
-/// searches stay local — the K-hop miniDB is built from the engine's own
-/// replica, which a shard deployment keeps fully converged.
+/// searches stay local, because the K-hop miniDB is built from the
+/// engine's own database.
 pub trait GroupSearch: std::fmt::Debug + Send {
     /// Execute the query group against `db` and return per-query hit
     /// lists plus work counters, exactly as [`SearchBackend::run_group`].
@@ -336,9 +336,6 @@ impl Nebula {
         // attach under it, and an error return abandons an owned trace.
         let pipeline_trace = PipelineTrace::open();
         let _budget = nebula_govern::begin_budget(&self.config.budget);
-        // Drop notes leaked by an earlier erroring pipeline run so they
-        // cannot masquerade as this annotation's degradations.
-        nebula_govern::take_noted_degradations();
         let mut degradations: Vec<Degradation> = Vec::new();
 
         // Stage 0: register the annotation and its focal attachments.
@@ -374,10 +371,6 @@ impl Nebula {
         let stage2_trace = nebula_obs::trace::span(names::STAGE2_EXECUTE);
         let (candidates, stats, used_focal_spread) =
             self.stage2_search(db, &queries, focal, &mut degradations)?;
-        // Layers below the engine (e.g. a shard scatter-gather) note their
-        // degradations out-of-band; fold them into this annotation's
-        // outcome so partial results are typed, never silent.
-        degradations.extend(nebula_govern::take_noted_degradations());
         let report = nebula_govern::budget_report();
         if report.truncated_configurations > 0 {
             degradations.push(Degradation::TruncatedConfigurations {
@@ -636,82 +629,6 @@ impl Nebula {
         store.attach(aid, AttachmentTarget::tuple(tuple))?;
         self.acg.add_attachment(store, aid, tuple);
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Mirror API: replaying another engine's committed mutations.
-    //
-    // A shard sibling (or any follower holding a full replica) replays the
-    // home engine's mutation batches through these methods so its own
-    // engine state — store, ACG, hop profile, verification queue — stays
-    // byte-equivalent with the engine that originated the batch. Each
-    // method performs exactly the state transitions the originating
-    // pipeline performed, in the same order, without consulting the sink
-    // (the mutations are already committed upstream).
-    // ------------------------------------------------------------------
-
-    /// Mirror a focal (true, manual) attachment: Stage 0's per-focal
-    /// store + ACG update.
-    pub fn mirror_attach_focal(
-        &mut self,
-        store: &mut AnnotationStore,
-        aid: AnnotationId,
-        tuple: TupleId,
-    ) -> Result<(), NebulaError> {
-        store.attach(aid, AttachmentTarget::tuple(tuple))?;
-        self.acg.add_attachment(store, aid, tuple);
-        Ok(())
-    }
-
-    /// Mirror an auto-accepted (or expert-verified) attachment, including
-    /// the profile-before-attach rule of [`Nebula::process_annotation`]'s
-    /// Stage 3. `focal` must be the annotation's *manual* focal list at
-    /// accept time (its logged `AttachTuple` targets), not every true
-    /// attachment accumulated since.
-    pub fn mirror_accept(
-        &mut self,
-        store: &mut AnnotationStore,
-        aid: AnnotationId,
-        tuple: TupleId,
-        focal: &[TupleId],
-    ) -> Result<(), NebulaError> {
-        if !focal.is_empty() {
-            if let Some(hops) = self.acg.shortest_hops(tuple, focal, 16) {
-                self.profile.record(hops);
-            }
-        }
-        store.attach(aid, AttachmentTarget::tuple(tuple))?;
-        self.acg.add_attachment(store, aid, tuple);
-        Ok(())
-    }
-
-    /// Mirror a predicted attachment entering the pending band. The
-    /// verification task is enqueued with the same vid sequence the
-    /// originating engine drew; evidence strings are not replicated (they
-    /// are display-only and never feed a decision).
-    pub fn mirror_attach_predicted(
-        &mut self,
-        store: &mut AnnotationStore,
-        aid: AnnotationId,
-        tuple: TupleId,
-        confidence: f64,
-    ) -> Result<u64, NebulaError> {
-        store.attach_predicted(aid, tuple, confidence)?;
-        let vid = self.queue.next_vid();
-        self.queue.enqueue(VerificationTask {
-            vid,
-            annotation: aid,
-            tuple,
-            confidence,
-            evidence: Vec::new(),
-        });
-        Ok(vid)
-    }
-
-    /// Mirror the end of one annotation's pipeline run: advance the ACG
-    /// stability batch exactly as the originating engine did.
-    pub fn mirror_annotation_done(&mut self) {
-        self.acg.record_annotation();
     }
 
     /// Expert resolution of a pending task. `accept == true` verifies the

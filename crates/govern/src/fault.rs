@@ -42,12 +42,6 @@ pub enum FaultSite {
     NetReorder,
     /// A replication transport frame is delivered twice.
     NetDuplicate,
-    /// A scatter-gather shard probe errors out while a sibling shard
-    /// serves it (the shard answers with an error instead of hits).
-    ShardProbe,
-    /// A shard boundary-edge apply fails before the batch is replayed
-    /// (the shard nacks and the origin retries).
-    ShardApply,
     /// A buffer-pool page read fails before the page leaves the kernel
     /// (transient; the pool retries the syscall).
     PageRead,
@@ -90,8 +84,6 @@ impl fmt::Display for FaultSite {
             FaultSite::NetDelay => "net-delay",
             FaultSite::NetReorder => "net-reorder",
             FaultSite::NetDuplicate => "net-duplicate",
-            FaultSite::ShardProbe => "shard-probe",
-            FaultSite::ShardApply => "shard-apply",
             FaultSite::PageRead => "page-read",
             FaultSite::PageWrite => "page-write",
             FaultSite::PageFsync => "page-fsync",
@@ -293,8 +285,6 @@ pub struct FaultPlan {
     pub io: IoFaultSpec,
     /// Seeded transport fault rates for the replication layer.
     pub net: NetFaultSpec,
-    /// Shard-layer fault rate (probe serving and boundary-edge applies).
-    pub shard: f64,
     /// Seeded page-store fault rates for the paged storage backend.
     pub pages: PageFaultSpec,
     state: u64,
@@ -312,7 +302,6 @@ impl FaultPlan {
             panic_rate: 0.0,
             io: IoFaultSpec::default(),
             net: NetFaultSpec::default(),
-            shard: 0.0,
             pages: PageFaultSpec::default(),
             state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
         }
@@ -416,13 +405,6 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: set the shard-layer fault rate (probe serving and
-    /// boundary-edge applies both roll against it).
-    pub fn with_shard(mut self, rate: f64) -> FaultPlan {
-        self.shard = rate;
-        self
-    }
-
     /// Roll the seeded stream at one transport fault site. Valid sites are
     /// the four `Net*` variants; anything else never fires.
     ///
@@ -506,7 +488,7 @@ impl FaultPlan {
         format!(
             "seed={} query={:.2}{} index-probe={:.2} latency={:.2}@{}us panic={:.2} \
              io[torn={:.2} short={:.2} fsync={:.2} flip={:.2} rot={:.2}/{:.2}] \
-             net[drop={:.2} delay={:.2} reorder={:.2} dup={:.2}] shard={:.2} \
+             net[drop={:.2} delay={:.2} reorder={:.2} dup={:.2}] \
              page[read={:.2} write={:.2} fsync={:.2} rot={:.2} enospc={:.2}] \
              archive[write={:.2} rot={:.2} fsync={:.2}] enospc={:.2}",
             self.seed,
@@ -526,7 +508,6 @@ impl FaultPlan {
             self.net.delay,
             self.net.reorder,
             self.net.duplicate,
-            self.shard,
             self.pages.read,
             self.pages.write,
             self.pages.fsync,
@@ -591,8 +572,6 @@ pub struct FaultStats {
     pub recovered: u64,
     /// Retry attempts made against transient faults.
     pub retries: u64,
-    /// Shard-layer faults injected (probe serving + boundary applies).
-    pub shard_faults: u64,
     /// Torn archive-segment writes injected.
     pub archive_writes: u64,
     /// At-rest archive bit-rot flips injected.

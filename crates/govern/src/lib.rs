@@ -95,10 +95,6 @@ struct Governor {
     budget: Option<BudgetState>,
     plan: Option<FaultPlan>,
     fault_stats: FaultStats,
-    /// Degradations noted by layers below the engine (e.g. a shard
-    /// scatter-gather returning a partial result); the pipeline drains
-    /// them into the annotation's outcome.
-    noted: Vec<Degradation>,
 }
 
 thread_local! {
@@ -335,10 +331,6 @@ pub fn inject(site: FaultSite) -> Option<InjectedFault> {
                 let rate = plan.index_probe;
                 plan.roll(rate).then_some(InjectedFault { site, transient: false })
             }
-            FaultSite::ShardProbe | FaultSite::ShardApply => {
-                let rate = plan.shard;
-                plan.roll(rate).then_some(InjectedFault { site, transient: false })
-            }
             // Latency and panics fire through stage_boundary; the I/O
             // sites fire through inject_io; the transport sites fire
             // through FaultPlan::roll_net on a transport-owned plan; the
@@ -368,7 +360,6 @@ pub fn inject(site: FaultSite) -> Option<InjectedFault> {
         match site {
             FaultSite::Query => g.fault_stats.query_errors += 1,
             FaultSite::IndexProbe => g.fault_stats.index_probe_failures += 1,
-            FaultSite::ShardProbe | FaultSite::ShardApply => g.fault_stats.shard_faults += 1,
             _ => {}
         }
         Some(fault)
@@ -488,18 +479,6 @@ pub fn note_retry() {
     nebula_obs::counter_add(counters::RETRIES, 1);
 }
 
-/// Note a degradation that happened below the engine's own ladder (e.g.
-/// a shard scatter-gather answering partially). The pipeline drains notes
-/// into the current annotation's outcome via [`take_noted_degradations`].
-pub fn note_degradation(d: Degradation) {
-    GOVERNOR.with(|g| g.borrow_mut().noted.push(d));
-}
-
-/// Drain every degradation noted on this thread since the last drain.
-pub fn take_noted_degradations() -> Vec<Degradation> {
-    GOVERNOR.with(|g| std::mem::take(&mut g.borrow_mut().noted))
-}
-
 /// How a governed call survived a resource trip: what was given up, where.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Degradation {
@@ -528,17 +507,6 @@ pub enum Degradation {
         /// How many candidates were dropped.
         dropped: usize,
     },
-    /// A scatter-gather search completed without every shard: the listed
-    /// shards were past their deadline, partitioned, or breaker-skipped,
-    /// so their slice of the hit space is absent from the results.
-    PartialShards {
-        /// Shards that answered in time (the home shard included).
-        answered: usize,
-        /// Total shards the query was scattered to (home included).
-        total: usize,
-        /// The missing shard ids, ascending.
-        missing: Vec<usize>,
-    },
 }
 
 impl fmt::Display for Degradation {
@@ -555,10 +523,6 @@ impl fmt::Display for Degradation {
             }
             Degradation::TruncatedCandidates { dropped } => {
                 write!(f, "truncated-candidates({dropped})")
-            }
-            Degradation::PartialShards { answered, total, missing } => {
-                let ids: Vec<String> = missing.iter().map(ToString::to_string).collect();
-                write!(f, "partial-shards({answered}/{total}, missing=[{}])", ids.join(","))
             }
         }
     }

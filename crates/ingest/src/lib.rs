@@ -35,13 +35,11 @@ pub mod admission;
 pub mod breaker;
 pub mod health;
 pub mod pool;
-pub mod router;
 
 pub use admission::{AdmissionQueue, Priority, ShedReason, ShedRecord};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use health::{HealthMachine, HealthState};
 pub use pool::{ingest_batch, IngestConfig, IngestItem, IngestReport};
-pub use router::{slot_of, ShardHealth, ShardRouter, SLOTS};
 
 /// Counter and gauge names this crate publishes to `nebula-obs`.
 pub mod counters {

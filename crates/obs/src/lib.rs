@@ -158,23 +158,6 @@ pub mod registry {
         "repl.records_shipped",
         "repl.records_skipped",
         "repl.segments_shipped",
-        "shard.annotations_routed",
-        "shard.applies_sent",
-        "shard.apply_acks",
-        "shard.apply_nacks",
-        "shard.apply_retries",
-        "shard.batches_applied",
-        "shard.breaker_opened",
-        "shard.digest_divergences",
-        "shard.failovers",
-        "shard.home_fallbacks",
-        "shard.partial_results",
-        "shard.probe_serve_errors",
-        "shard.probes_answered",
-        "shard.probes_sent",
-        "shard.probes_skipped",
-        "shard.probes_timed_out",
-        "shard.repairs",
         "textsearch.compiled_queries",
         "textsearch.configurations",
         "textsearch.tuples_inspected",
@@ -198,9 +181,6 @@ pub mod registry {
         "repl.epoch",
         "repl.max_lag",
         "repl.replicas",
-        "shard.epoch",
-        "shard.lagging",
-        "shard.shards",
         "trace.ring_occupancy",
     ];
 

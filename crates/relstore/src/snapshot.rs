@@ -138,9 +138,9 @@ fn tag_type(tag: u8) -> Result<DataType, SnapshotError> {
 /// A 64-bit FNV-1a fingerprint of the canonical snapshot encoding.
 ///
 /// Two databases with identical logical content fingerprint identically
-/// (the encoding is canonical); a shard deployment uses this to verify
-/// cheaply that its full-database replicas have not diverged without
-/// shipping the snapshots themselves.
+/// (the encoding is canonical), so a caller can check cheaply that two
+/// copies of a database have not diverged without comparing the
+/// snapshots themselves.
 pub fn fingerprint(db: &Database) -> u64 {
     let bytes = save(db);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -52,10 +52,7 @@ pub use cluster::{
     Cluster, ClusterConfig, ClusterSink, RejoinOutcome, RepairOutcome, RepairStatus, ScrubSummary,
 };
 pub use frame::Frame;
-pub use nemesis::{
-    compose_schedule, compose_schedule_with_backup, compose_schedule_with_disk,
-    compose_schedule_with_shards, NemesisEvent, NemesisPlan,
-};
+pub use nemesis::{compose_schedule, NemesisDims, NemesisEvent, NemesisPlan};
 pub use primary::{DivergenceReport, Primary};
 pub use repair::{last_agreed, LadderOutcome};
 pub use replica::Replica;

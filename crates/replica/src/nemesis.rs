@@ -49,30 +49,6 @@ pub enum NemesisEvent {
     /// Ingest `n` annotations as one unthrottled burst (overload
     /// pressure for the admission-control path).
     Burst(u32),
-    /// Cut every scatter-gather link to `shard` of a sharded cluster
-    /// (probes time out; the shard's breaker trips; ingest degrades to
-    /// typed partial results).
-    ShardPartition {
-        /// The shard to isolate.
-        shard: usize,
-    },
-    /// Restore the links to `shard` and replay its missed batches.
-    ShardHeal {
-        /// The shard to reconnect.
-        shard: usize,
-    },
-    /// Corrupt a single shard's replica state; the next `Scrub` must
-    /// localize and repair it.
-    ShardBitRot {
-        /// The shard to poison.
-        shard: usize,
-    },
-    /// Crash `shard` and promote a replacement rebuilt from the durable
-    /// history under a bumped fencing epoch.
-    ShardFailover {
-        /// The shard to crash and rebuild.
-        shard: usize,
-    },
     /// Flip one at-rest bit in the paged store's page file. The `Scrub`
     /// that follows must detect it with zero false positives and heal it
     /// in place (single-bit rot corrects via CRC linearity).
@@ -103,6 +79,27 @@ pub enum NemesisEvent {
     RestoreCheck,
 }
 
+/// The optional fault dimensions a schedule composes on top of the core
+/// ones (ingest, partitions, corruption, bit-rot, failover, bursts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NemesisDims {
+    /// Page rot, fsync-failed shadow commits and eviction storms against
+    /// a paged store.
+    pub disk: bool,
+    /// Bundle captures, archive rot, backup scrubs and mid-soak restore
+    /// checks.
+    pub backup: bool,
+}
+
+impl NemesisDims {
+    /// The core dimensions only.
+    pub const CORE: NemesisDims = NemesisDims { disk: false, backup: false };
+    /// The core dimensions plus the disk dimension.
+    pub const DISK: NemesisDims = NemesisDims { disk: true, backup: false };
+    /// The core dimensions plus the backup dimension.
+    pub const BACKUP: NemesisDims = NemesisDims { disk: false, backup: true };
+}
+
 /// A composed schedule plus the seed that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NemesisPlan {
@@ -110,15 +107,8 @@ pub struct NemesisPlan {
     pub seed: u64,
     /// Replica count the schedule was composed for.
     pub replicas: usize,
-    /// Shard count the schedule was composed for (0 = unsharded; no
-    /// shard events are composed).
-    pub shards: usize,
-    /// Whether the disk dimension (page rot, fsync failure, eviction
-    /// storms against a paged store) was composed in.
-    pub disk: bool,
-    /// Whether the backup dimension (bundle capture, archive rot,
-    /// backup scrub, restore checks) was composed in.
-    pub backup: bool,
+    /// The optional dimensions composed in.
+    pub dims: NemesisDims,
     /// Total annotations across all `Ingest`/`Burst` events.
     pub total_ops: u64,
     /// The schedule, in execution order.
@@ -145,23 +135,6 @@ impl NemesisPlan {
             }
         }
         (partitions, corruptions, rots, failovers, bursts)
-    }
-
-    /// How many shard-dimension disruptions the plan holds:
-    /// `(shard_partitions, shard_rots, shard_failovers)`.
-    pub fn shard_disruption_counts(&self) -> (usize, usize, usize) {
-        let mut partitions = 0;
-        let mut rots = 0;
-        let mut failovers = 0;
-        for e in &self.events {
-            match e {
-                NemesisEvent::ShardPartition { .. } => partitions += 1,
-                NemesisEvent::ShardBitRot { .. } => rots += 1,
-                NemesisEvent::ShardFailover { .. } => failovers += 1,
-                _ => {}
-            }
-        }
-        (partitions, rots, failovers)
     }
 
     /// How many backup-dimension events the plan holds:
@@ -221,80 +194,38 @@ impl Rng {
 }
 
 /// Compose a deterministic chaos schedule for a cluster with `replicas`
-/// replicas, ingesting `total_ops` annotations in all. Pure: same inputs,
-/// same schedule. Equivalent to
-/// [`compose_schedule_with_shards`]`(seed, replicas, 0, total_ops)`.
-pub fn compose_schedule(seed: u64, replicas: usize, total_ops: u64) -> NemesisPlan {
-    compose_schedule_with_shards(seed, replicas, 0, total_ops)
-}
-
-/// Compose a deterministic chaos schedule that also disrupts a sharded
-/// engine: with `shards > 0` the event dimensions grow by shard
-/// partition/heal pairs, single-shard bit-rot, and epoch-fenced shard
-/// failovers. With `shards == 0` the schedule is byte-identical to
-/// [`compose_schedule`]'s. Pure and self-closing either way: every
-/// `ShardPartition` is healed, every disruption is followed by a `Scrub`,
-/// and the schedule ends heal-everything / rejoin / scrub. Equivalent to
-/// [`compose_schedule_with_disk`]`(seed, replicas, shards, false,
-/// total_ops)`.
-pub fn compose_schedule_with_shards(
+/// replicas, ingesting `total_ops` annotations in all, over the core
+/// dimensions plus the optional ones in `dims`. Pure: same inputs, same
+/// schedule.
+///
+/// The disk dimension adds at-rest page rot, fsync-failed shadow commits
+/// and eviction storms; every `PageRot` is followed by a `Scrub` (which
+/// must heal it). The backup dimension adds bundle captures, at-rest
+/// archive rot, backup scrubs and mid-soak restore checks: the rot and
+/// restore slots compose a `Backup` first if none exists yet, every
+/// `ArchiveRot` is followed by a `BackupScrub`, and a schedule that
+/// captured any bundle ends with a final `BackupScrub` + `RestoreCheck`
+/// after convergence.
+pub fn compose_schedule(
     seed: u64,
     replicas: usize,
-    shards: usize,
-    total_ops: u64,
-) -> NemesisPlan {
-    compose_schedule_with_disk(seed, replicas, shards, false, total_ops)
-}
-
-/// Compose a deterministic chaos schedule that also disrupts the paged
-/// storage layer: with `disk = true` the event dimensions grow by
-/// at-rest page rot, fsync-failed shadow commits, and eviction storms.
-/// Every `PageRot` is followed by a `Scrub` (which must heal it), so the
-/// schedule stays self-closing; with `disk = false` the schedule is
-/// byte-identical to [`compose_schedule_with_shards`]'s. Equivalent to
-/// [`compose_schedule_with_backup`]`(seed, replicas, shards, disk,
-/// false, total_ops)`.
-pub fn compose_schedule_with_disk(
-    seed: u64,
-    replicas: usize,
-    shards: usize,
-    disk: bool,
-    total_ops: u64,
-) -> NemesisPlan {
-    compose_schedule_with_backup(seed, replicas, shards, disk, false, total_ops)
-}
-
-/// Compose a deterministic chaos schedule that also exercises disaster
-/// recovery: with `backup = true` the event dimensions grow by bundle
-/// captures, at-rest archive rot, backup scrubs, and mid-soak restore
-/// checks. Self-closing rules: the rot and restore slots compose a
-/// `Backup` first if none exists yet, every `ArchiveRot` is followed by a
-/// `BackupScrub`, and a schedule that captured any bundle ends with a
-/// final `BackupScrub` + `RestoreCheck` after convergence. With
-/// `backup = false` the schedule is byte-identical to
-/// [`compose_schedule_with_disk`]'s.
-pub fn compose_schedule_with_backup(
-    seed: u64,
-    replicas: usize,
-    shards: usize,
-    disk: bool,
-    backup: bool,
+    dims: NemesisDims,
     total_ops: u64,
 ) -> NemesisPlan {
     let mut rng = Rng(seed ^ 0x9E37_79B9_7F4A_7C15);
     let mut events = Vec::new();
     let mut remaining = total_ops;
     let mut open_partition: Option<usize> = None;
-    let mut open_shard: Option<usize> = None;
     let mut deposed_pending = false;
     let mut backup_taken = false;
-    // Dimension layout: 0..8 core, then 3 shard dims when sharded, then
-    // 3 disk dims when paged, then 3 backup dims when archiving. Keeping
-    // the earlier indices fixed is what makes each flag's `false` case
-    // byte-identical to the older composers.
-    let base_dims: u64 = if shards > 0 { 11 } else { 8 };
-    let disk_dims = base_dims + if disk { 3 } else { 0 };
-    let dims = disk_dims + if backup { 3 } else { 0 };
+    let NemesisDims { disk, backup } = dims;
+    // Slot layout: 0..8 core (7 is a calm slot), then 3 disk slots when
+    // paged, then 3 backup slots when archiving. The layout is fixed so
+    // that plans stay byte-identical across releases (pinned by
+    // `plans_match_golden_digests`).
+    const DISK_BASE: u64 = 8;
+    let backup_base = DISK_BASE + if disk { 3 } else { 0 };
+    let slots = backup_base + if backup { 3 } else { 0 };
 
     // Reserve a calm tail so the final convergence runs over real traffic.
     let tail = (total_ops / 10).clamp(10, 50).min(total_ops);
@@ -305,7 +236,7 @@ pub fn compose_schedule_with_backup(
         if remaining <= tail {
             break;
         }
-        match rng.below(dims) {
+        match rng.below(slots) {
             0 | 1 => {
                 // Partition a replica for the next chunk, then heal it.
                 if open_partition.is_none() && replicas > 0 {
@@ -350,52 +281,21 @@ pub fn compose_schedule_with_backup(
                     remaining -= u64::from(n);
                 }
             }
-            // A single-shard cluster has no inter-shard links to cut, so
-            // partitions only compose at shards >= 2.
-            8 | 9 if shards > 1 => {
-                // Partition a shard for the next chunk, then heal it.
-                if open_shard.is_none() {
-                    let shard = rng.below(shards as u64) as usize;
-                    events.push(NemesisEvent::ShardPartition { shard });
-                    open_shard = Some(shard);
-                } else if let Some(shard) = open_shard.take() {
-                    events.push(NemesisEvent::ShardHeal { shard });
-                    events.push(NemesisEvent::Scrub);
-                }
-            }
-            10 if shards > 0 => {
-                let shard = rng.below(shards as u64) as usize;
-                if rng.below(2) == 0 {
-                    // Never poison the partitioned shard: its missed
-                    // batches and its rot would tangle the same repair.
-                    if open_shard != Some(shard) {
-                        events.push(NemesisEvent::ShardBitRot { shard });
-                        events.push(NemesisEvent::Scrub);
-                    }
-                } else {
-                    // A shard failover rebuilds from the durable history;
-                    // heal first so the replay fabric is fully connected.
-                    if let Some(open) = open_shard.take() {
-                        events.push(NemesisEvent::ShardHeal { shard: open });
-                    }
-                    events.push(NemesisEvent::ShardFailover { shard });
-                }
-            }
-            n if disk && n == base_dims => {
+            n if disk && n == DISK_BASE => {
                 events.push(NemesisEvent::PageRot);
                 events.push(NemesisEvent::Scrub);
             }
-            n if disk && n == base_dims + 1 => {
+            n if disk && n == DISK_BASE + 1 => {
                 events.push(NemesisEvent::PageFsyncFail);
             }
-            n if disk && n == base_dims + 2 => {
+            n if disk && n == DISK_BASE + 2 => {
                 events.push(NemesisEvent::EvictStorm);
             }
-            n if backup && n == disk_dims => {
+            n if backup && n == backup_base => {
                 events.push(NemesisEvent::Backup);
                 backup_taken = true;
             }
-            n if backup && n == disk_dims + 1 => {
+            n if backup && n == backup_base + 1 => {
                 // Rot needs archived bytes to damage; capture first.
                 if !backup_taken {
                     events.push(NemesisEvent::Backup);
@@ -404,7 +304,7 @@ pub fn compose_schedule_with_backup(
                 events.push(NemesisEvent::ArchiveRot);
                 events.push(NemesisEvent::BackupScrub);
             }
-            n if backup && n == disk_dims + 2 => {
+            n if backup && n == backup_base + 2 => {
                 if !backup_taken {
                     events.push(NemesisEvent::Backup);
                     backup_taken = true;
@@ -419,9 +319,6 @@ pub fn compose_schedule_with_backup(
     if let Some(node) = open_partition.take() {
         events.push(NemesisEvent::Heal { node });
     }
-    if let Some(shard) = open_shard.take() {
-        events.push(NemesisEvent::ShardHeal { shard });
-    }
     events.push(NemesisEvent::Rejoin);
     events.push(NemesisEvent::Scrub);
     if remaining > 0 {
@@ -435,42 +332,90 @@ pub fn compose_schedule_with_backup(
         events.push(NemesisEvent::RestoreCheck);
     }
 
-    NemesisPlan { seed, replicas, shards, disk, backup, total_ops, events }
+    NemesisPlan { seed, replicas, dims, total_ops, events }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ingest_total(plan: &NemesisPlan) -> u64 {
+        plan.events
+            .iter()
+            .map(|e| match e {
+                NemesisEvent::Ingest(n) | NemesisEvent::Burst(n) => u64::from(*n),
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// FNV-1a over the `Debug` rendering of a plan's events.
+    fn digest(plan: &NemesisPlan) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in format!("{:?}", plan.events).bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Every (replicas, dims, ops) shape the chaos soaks compose, plus
+    /// both optional dimensions at once, pinned to digests recorded from
+    /// the earlier per-dimension composers this one replaced. A change to
+    /// the slot layout or the draw order fails here first.
+    #[test]
+    fn plans_match_golden_digests() {
+        let both = NemesisDims { disk: true, backup: true };
+        #[rustfmt::skip]
+        let golden: &[(u64, usize, NemesisDims, u64, u64, usize)] = &[
+            (0xF00D, 2, NemesisDims::CORE, 500, 0x9376_ce8d_2964_579f, 25),
+            (0xF00D, 0, NemesisDims::DISK, 600, 0x0a35_441d_e3e1_c16a, 27),
+            (0xF00D, 2, NemesisDims::BACKUP, 500, 0x5348_7b7a_17de_cbba, 26),
+            (0xF00D, 2, both, 2500, 0x8b0e_baf9_00f0_bcc0, 142),
+            (0xBAD5EED, 2, NemesisDims::CORE, 500, 0xd357_346c_0cba_71a7, 30),
+            (0xBAD5EED, 0, NemesisDims::DISK, 600, 0x2c53_06db_80cf_0d8f, 25),
+            (0xBAD5EED, 2, NemesisDims::BACKUP, 500, 0x0576_3f03_c6f8_1a05, 26),
+            (0xBAD5EED, 2, both, 2500, 0xbf5f_5aa1_a4fa_d206, 135),
+            (12345, 2, NemesisDims::CORE, 500, 0x560a_153d_908c_fed6, 26),
+            (12345, 0, NemesisDims::DISK, 600, 0x2c11_0907_f2d1_0d46, 23),
+            (12345, 2, NemesisDims::BACKUP, 500, 0x1f91_4a39_e67b_ec0b, 29),
+            (12345, 2, both, 2500, 0x6e03_1679_ef6b_e4f4, 115),
+            (0xDEAD, 2, NemesisDims::CORE, 500, 0xcce4_8648_5273_8844, 23),
+            (0xDEAD, 0, NemesisDims::DISK, 600, 0x1f70_4722_0e52_c918, 27),
+            (0xDEAD, 2, NemesisDims::BACKUP, 500, 0xccb4_905e_4834_7811, 27),
+            (0xDEAD, 2, both, 2500, 0xd5bf_859d_37b0_8ce8, 146),
+        ];
+        for &(seed, replicas, dims, ops, want, len) in golden {
+            let plan = compose_schedule(seed, replicas, dims, ops);
+            assert_eq!(
+                (digest(&plan), plan.events.len()),
+                (want, len),
+                "seed {seed:#x} replicas={replicas} {dims:?} ops={ops}: plan drifted"
+            );
+        }
+    }
+
     #[test]
     fn same_seed_same_schedule() {
-        let a = compose_schedule(0xF00D, 2, 500);
-        let b = compose_schedule(0xF00D, 2, 500);
+        let a = compose_schedule(0xF00D, 2, NemesisDims::CORE, 500);
+        let b = compose_schedule(0xF00D, 2, NemesisDims::CORE, 500);
         assert_eq!(a, b);
-        let c = compose_schedule(0xF00E, 2, 500);
+        let c = compose_schedule(0xF00E, 2, NemesisDims::CORE, 500);
         assert_ne!(a.events, c.events);
     }
 
     #[test]
     fn ingest_totals_are_exact() {
         for seed in [1u64, 0xF00D, 0xBAD5EED, 12345] {
-            let plan = compose_schedule(seed, 3, 500);
-            let total: u64 = plan
-                .events
-                .iter()
-                .map(|e| match e {
-                    NemesisEvent::Ingest(n) | NemesisEvent::Burst(n) => u64::from(*n),
-                    _ => 0,
-                })
-                .sum();
-            assert_eq!(total, 500, "seed {seed:#x}");
+            let plan = compose_schedule(seed, 3, NemesisDims::CORE, 500);
+            assert_eq!(ingest_total(&plan), 500, "seed {seed:#x}");
         }
     }
 
     #[test]
     fn partitions_are_always_healed_and_schedule_self_closes() {
         for seed in [7u64, 0xF00D, 0xBAD5EED, 12345, 999] {
-            let plan = compose_schedule(seed, 2, 600);
+            let plan = compose_schedule(seed, 2, NemesisDims::CORE, 600);
             let mut open: Option<usize> = None;
             for e in &plan.events {
                 match e {
@@ -496,102 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn unsharded_schedule_is_identical_through_both_entry_points() {
-        for seed in [1u64, 0xF00D, 0xBAD5EED] {
-            let a = compose_schedule(seed, 2, 600);
-            let b = compose_schedule_with_shards(seed, 2, 0, 600);
-            assert_eq!(a, b, "seed {seed:#x}: shards=0 must not perturb the schedule");
-            assert!(a.events.iter().all(|e| !matches!(
-                e,
-                NemesisEvent::ShardPartition { .. }
-                    | NemesisEvent::ShardHeal { .. }
-                    | NemesisEvent::ShardBitRot { .. }
-                    | NemesisEvent::ShardFailover { .. }
-            )));
-        }
-    }
-
-    #[test]
-    fn sharded_schedules_self_close_and_stay_in_range() {
-        for seed in [7u64, 0xF00D, 0xBAD5EED, 12345, 999] {
-            let plan = compose_schedule_with_shards(seed, 0, 3, 800);
-            assert_eq!(plan.shards, 3);
-            let mut open: Option<usize> = None;
-            for e in &plan.events {
-                match e {
-                    NemesisEvent::ShardPartition { shard } => {
-                        assert!(*shard < 3, "seed {seed:#x}: shard out of range");
-                        assert!(open.is_none(), "seed {seed:#x}: overlapping shard partitions");
-                        open = Some(*shard);
-                    }
-                    NemesisEvent::ShardHeal { shard } => {
-                        assert_eq!(open, Some(*shard), "seed {seed:#x}: heal without partition");
-                        open = None;
-                    }
-                    NemesisEvent::ShardBitRot { shard } => {
-                        assert!(*shard < 3);
-                        assert_ne!(open, Some(*shard), "seed {seed:#x}: rot on the dark shard");
-                    }
-                    NemesisEvent::ShardFailover { shard } => {
-                        assert!(*shard < 3);
-                        assert!(open.is_none(), "seed {seed:#x}: failover under shard partition");
-                    }
-                    _ => {}
-                }
-            }
-            assert!(open.is_none(), "seed {seed:#x}: schedule ends shard-partitioned");
-            assert!(matches!(plan.events.last(), Some(NemesisEvent::Scrub)));
-            let total: u64 = plan
-                .events
-                .iter()
-                .map(|e| match e {
-                    NemesisEvent::Ingest(n) | NemesisEvent::Burst(n) => u64::from(*n),
-                    _ => 0,
-                })
-                .sum();
-            assert_eq!(total, 800, "seed {seed:#x}: ingest total drifted");
-        }
-    }
-
-    #[test]
-    fn sharded_soaks_exercise_the_shard_dimension() {
-        let plan = compose_schedule_with_shards(0xF00D, 0, 3, 2000);
-        let (partitions, rots, failovers) = plan.shard_disruption_counts();
-        assert!(partitions > 0, "no shard partitions composed");
-        assert!(rots > 0, "no shard bit-rot composed");
-        assert!(failovers > 0, "no shard failovers composed");
-    }
-
-    #[test]
-    fn single_shard_schedules_never_partition_the_only_shard() {
-        for seed in [1u64, 0xF00D, 0xBAD5EED, 12345] {
-            let plan = compose_schedule_with_shards(seed, 0, 1, 1000);
-            let (partitions, _, _) = plan.shard_disruption_counts();
-            assert_eq!(partitions, 0, "seed {seed:#x}: partitioning 1 shard is total outage");
-        }
-    }
-
-    #[test]
-    fn disk_off_schedule_is_identical_through_every_entry_point() {
-        for seed in [1u64, 0xF00D, 0xBAD5EED] {
-            let a = compose_schedule_with_shards(seed, 2, 0, 600);
-            let b = compose_schedule_with_disk(seed, 2, 0, false, 600);
-            assert_eq!(a, b, "seed {seed:#x}: disk=false must not perturb the schedule");
-            let c = compose_schedule_with_shards(seed, 2, 3, 600);
-            let d = compose_schedule_with_disk(seed, 2, 3, false, 600);
-            assert_eq!(c, d, "seed {seed:#x}: disk=false must not perturb sharded plans");
-            assert!(a.events.iter().chain(&c.events).all(|e| !matches!(
-                e,
-                NemesisEvent::PageRot | NemesisEvent::PageFsyncFail | NemesisEvent::EvictStorm
-            )));
-        }
-    }
-
-    #[test]
     fn disk_schedules_self_close_every_page_rot_with_a_scrub() {
         for seed in [7u64, 0xF00D, 0xBAD5EED, 12345, 999] {
-            let plan = compose_schedule_with_disk(seed, 2, 0, true, 1500);
-            assert!(plan.disk);
+            let plan = compose_schedule(seed, 2, NemesisDims::DISK, 1500);
+            assert!(plan.dims.disk);
             let mut pending_rot = false;
             for e in &plan.events {
                 match e {
@@ -601,21 +454,13 @@ mod tests {
                 }
             }
             assert!(!pending_rot, "seed {seed:#x}: schedule ends with unhealed page rot");
-            let total: u64 = plan
-                .events
-                .iter()
-                .map(|e| match e {
-                    NemesisEvent::Ingest(n) | NemesisEvent::Burst(n) => u64::from(*n),
-                    _ => 0,
-                })
-                .sum();
-            assert_eq!(total, 1500, "seed {seed:#x}: ingest total drifted");
+            assert_eq!(ingest_total(&plan), 1500, "seed {seed:#x}: ingest total drifted");
         }
     }
 
     #[test]
     fn disk_soaks_exercise_the_disk_dimension() {
-        let plan = compose_schedule_with_disk(0xF00D, 2, 0, true, 2500);
+        let plan = compose_schedule(0xF00D, 2, NemesisDims::DISK, 2500);
         let (rots, fsyncs, storms) = plan.disk_disruption_counts();
         assert!(rots > 0, "no page rot composed");
         assert!(fsyncs > 0, "no fsync failures composed");
@@ -627,29 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn backup_off_schedule_is_identical_through_every_entry_point() {
-        for seed in [1u64, 0xF00D, 0xBAD5EED] {
-            let a = compose_schedule_with_disk(seed, 2, 0, true, 600);
-            let b = compose_schedule_with_backup(seed, 2, 0, true, false, 600);
-            assert_eq!(a, b, "seed {seed:#x}: backup=false must not perturb the schedule");
-            let c = compose_schedule_with_shards(seed, 2, 3, 600);
-            let d = compose_schedule_with_backup(seed, 2, 3, false, false, 600);
-            assert_eq!(c, d, "seed {seed:#x}: backup=false must not perturb sharded plans");
-            assert!(a.events.iter().chain(&c.events).all(|e| !matches!(
-                e,
-                NemesisEvent::Backup
-                    | NemesisEvent::ArchiveRot
-                    | NemesisEvent::BackupScrub
-                    | NemesisEvent::RestoreCheck
-            )));
-        }
-    }
-
-    #[test]
     fn backup_schedules_self_close_and_prove_recovery() {
         for seed in [7u64, 0xF00D, 0xBAD5EED, 12345, 999] {
-            let plan = compose_schedule_with_backup(seed, 2, 0, false, true, 1500);
-            assert!(plan.backup);
+            let plan = compose_schedule(seed, 2, NemesisDims::BACKUP, 1500);
+            assert!(plan.dims.backup);
             let mut backups = 0;
             let mut pending_rot = false;
             for e in &plan.events {
@@ -673,21 +499,13 @@ mod tests {
                     "seed {seed:#x}: a soak that captured bundles must end by restoring one"
                 );
             }
-            let total: u64 = plan
-                .events
-                .iter()
-                .map(|e| match e {
-                    NemesisEvent::Ingest(n) | NemesisEvent::Burst(n) => u64::from(*n),
-                    _ => 0,
-                })
-                .sum();
-            assert_eq!(total, 1500, "seed {seed:#x}: ingest total drifted");
+            assert_eq!(ingest_total(&plan), 1500, "seed {seed:#x}: ingest total drifted");
         }
     }
 
     #[test]
     fn backup_soaks_exercise_the_backup_dimension() {
-        let plan = compose_schedule_with_backup(0xF00D, 2, 0, true, true, 2500);
+        let plan = compose_schedule(0xF00D, 2, NemesisDims { disk: true, backup: true }, 2500);
         let (backups, rots, scrubs, checks) = plan.backup_disruption_counts();
         assert!(backups > 0, "no bundle captures composed");
         assert!(rots > 0, "no archive rot composed");
@@ -703,7 +521,7 @@ mod tests {
 
     #[test]
     fn long_soaks_exercise_every_dimension() {
-        let plan = compose_schedule(0xF00D, 2, 2000);
+        let plan = compose_schedule(0xF00D, 2, NemesisDims::CORE, 2000);
         let (partitions, corruptions, rots, failovers, bursts) = plan.disruption_counts();
         assert!(partitions > 0, "no partitions composed");
         assert!(corruptions > 0, "no corruptions composed");

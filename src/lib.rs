@@ -71,7 +71,6 @@ pub use nebula_ingest;
 pub use nebula_obs;
 pub use nebula_pagestore;
 pub use nebula_replica;
-pub use nebula_shard;
 pub use nebula_workload;
 pub use relstore;
 pub use shell::{Shell, ShellError};
@@ -97,7 +96,6 @@ pub mod prelude {
         Cluster, ClusterConfig, ClusterSink, DivergenceReport, Primary, Replica, ReplicaError,
         SimTransport, Transport, TransportStats,
     };
-    pub use nebula_shard::{NetProfile, ShardCluster, ShardConfig, ShardError};
     pub use nebula_workload::{generate_dataset, DatasetBundle, DatasetSpec, WorkloadSpec};
     pub use relstore::{
         ConjunctiveQuery, DataType, Database, Predicate, TableSchema, Tuple, TupleId, Value,

@@ -59,9 +59,6 @@ pub struct Shell {
     /// has one installed as the mutation sink (backs PROMOTE and
     /// SHOW REPLICATION / SHOW REPLICA).
     repl: Option<ClusterSink>,
-    /// The sharded scatter-gather cluster while `SET SHARDS` is active
-    /// (ANNOTATE routes through it; backs SHOW SHARDS).
-    shards: Option<ShardCluster>,
     /// The paged storage backend while `SET STORAGE DISK` is active
     /// (rows and posting blocks page to disk; backs SHOW STORAGE).
     storage: Option<nebula_pagestore::PagedStorage>,
@@ -99,7 +96,6 @@ impl Shell {
             ingest,
             last_ingest: None,
             repl: None,
-            shards: None,
             storage: None,
             backups: Vec::new(),
             last_backup: None,
@@ -276,11 +272,6 @@ impl Shell {
         let [table, key] = args else {
             return Err(err("usage: DELETE <table> '<pk>'"));
         };
-        if self.shards.is_some() {
-            return Err(err(
-                "DELETE is unavailable while SET SHARDS is active — SET SHARDS OFF first",
-            ));
-        }
         let tuple = self.resolve_key(table, key)?;
         // Log before apply: the deletion reaches the WAL (when durability
         // is on) before either store mutates.
@@ -317,43 +308,6 @@ impl Shell {
             return Err(err("usage: ANNOTATE <table> '<pk>' '<text>'"));
         };
         let focal = self.resolve_key(table, key)?;
-
-        if let Some(cluster) = &mut self.shards {
-            let annotation = Annotation::new(text.clone());
-            let outcome = cluster.ingest(&annotation, &[focal]).map_err(|e| err(e.to_string()))?;
-            // Mirror the merged shard state back into the shell's store so
-            // ANNOTATIONS / SELECT keep reading the single source of truth.
-            self.store = cluster.merged_store().map_err(|e| err(e.to_string()))?;
-            let mut out = vec![format!(
-                "annotation {} attached to {table} '{key}' via shard {}; {} queries generated",
-                outcome.annotation,
-                cluster.router().route(&[focal]),
-                outcome.queries.len()
-            )];
-            for (t, conf) in &outcome.accepted {
-                out.push(format!(
-                    "  auto-accepted (conf {conf:.2}): {}",
-                    self.db.get(*t).expect("live").render()
-                ));
-            }
-            if !outcome.pending.is_empty() {
-                out.push(format!(
-                    "  {} candidates pending expert verification on their home shard",
-                    outcome.pending.len()
-                ));
-            }
-            if !outcome.rejected.is_empty() {
-                out.push(format!(
-                    "  {} low-confidence candidates auto-rejected",
-                    outcome.rejected.len()
-                ));
-            }
-            for d in &outcome.degradations {
-                out.push(format!("  degraded: {d}"));
-            }
-            return Ok(out.join("\n"));
-        }
-
         let item = IngestItem::new(Annotation::new(text.clone()), vec![focal]);
         let report =
             ingest_batch(&mut self.nebula, &self.db, &mut self.store, &[item], &self.ingest);
@@ -476,11 +430,10 @@ impl Shell {
             Some("DURABILITY") => self.set_durability(&args[1..]),
             Some("REPLICAS") => self.set_replicas(&args[1..]),
             Some("WORKERS") => self.set_workers(&args[1..]),
-            Some("SHARDS") => self.set_shards(&args[1..]),
             Some("STORAGE") => self.set_storage(&args[1..]),
             Some("ARCHIVE") => self.set_archive(&args[1..]),
             _ => Err(err("usage: SET BUDGET ... | SET FAULTS ... | SET DURABILITY ... | \
-                 SET REPLICAS ... | SET WORKERS <n> | SET SHARDS <n> | OFF | \
+                 SET REPLICAS ... | SET WORKERS <n> | \
                  SET STORAGE DISK '<dir>' [POOL <frames>] | MEM | SET ARCHIVE '<dir>'")),
         }
     }
@@ -506,9 +459,6 @@ impl Shell {
                     .into())
             }
             Some("DISK") => {
-                if self.shards.is_some() {
-                    return Err(err("SET STORAGE needs SET SHARDS OFF first"));
-                }
                 let dir = args.get(1).ok_or_else(|| err(USAGE))?;
                 let mut frames = nebula_pagestore::pool::DEFAULT_FRAMES;
                 if let Some(tok) = args.get(2) {
@@ -545,50 +495,6 @@ impl Shell {
         }
     }
 
-    /// `SET SHARDS <n> | OFF` — partition the engine into `n` shards
-    /// behind the deterministic focal-hash router (ANNOTATE then
-    /// scatter-gathers keyword search across them), or collapse the
-    /// merged shard state back onto the single-engine path.
-    fn set_shards(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str = "usage: SET SHARDS <n>  (n >= 1) | OFF";
-        match args.first().map(|s| s.to_uppercase()).as_deref() {
-            Some("OFF") => match self.shards.take() {
-                Some(cluster) => {
-                    self.store = cluster.merged_store().map_err(|e| err(e.to_string()))?;
-                    Ok(format!(
-                        "shards: off ({} shard slices merged back into one store)",
-                        cluster.shards()
-                    ))
-                }
-                None => Ok("shards: already off".into()),
-            },
-            Some(tok) => {
-                if self.nebula.mutation_sink().is_some() {
-                    return Err(err("SET SHARDS needs the single-engine sink detached first — \
-                         run SET DURABILITY OFF / SET REPLICAS OFF"));
-                }
-                let n: usize =
-                    tok.parse().ok().filter(|n: &usize| *n >= 1).ok_or_else(|| err(USAGE))?;
-                let cluster = ShardCluster::new(
-                    &self.db,
-                    &self.store,
-                    self.nebula.meta(),
-                    self.nebula.config(),
-                    ShardConfig::new(n),
-                )
-                .map_err(|e| err(e.to_string()))?;
-                let shards = cluster.shards();
-                self.shards = Some(cluster);
-                Ok(format!(
-                    "shards: {shards} (focal-hash router over {} slots; \
-                     ANNOTATE now scatter-gathers)",
-                    nebula_ingest::SLOTS
-                ))
-            }
-            None => Err(err(USAGE)),
-        }
-    }
-
     /// `SET WORKERS <n>` — size the worker pool ANNOTATE runs through.
     /// Any positive count gives byte-identical results for a fixed fault
     /// seed; more workers only change how overload is absorbed.
@@ -616,9 +522,6 @@ impl Shell {
                 Some(_) => Ok("durability: off (log closed; directory keeps its state)".into()),
                 None => Ok("durability: already off".into()),
             };
-        }
-        if self.shards.is_some() {
-            return Err(err("SET DURABILITY needs SET SHARDS OFF first"));
         }
         let mut options = DurabilityOptions::default();
         let mut archive: Option<String> = None;
@@ -750,9 +653,6 @@ impl Shell {
             }
             _ => return Err(err(USAGE)),
         };
-        if self.shards.is_some() {
-            return Err(err("RESTORE needs SET SHARDS OFF first"));
-        }
         let restored = nebula_backup::restore(std::path::Path::new(dir), as_of)
             .map_err(|e| err(e.to_string()))?;
         self.repl = None;
@@ -803,9 +703,6 @@ impl Shell {
                 }
                 None => Ok("replication: already off".into()),
             };
-        }
-        if self.shards.is_some() {
-            return Err(err("SET REPLICAS needs SET SHARDS OFF first"));
         }
         let n: usize = first
             .parse()
@@ -1341,10 +1238,6 @@ impl Shell {
             Some("REPLICATION") => self.show_replication(),
             Some("REPLICA") => self.show_replica(&args[1..]),
             Some("REPAIR") => self.show_repair(),
-            Some("SHARDS") => Ok(match &self.shards {
-                None => "shards: off (single-engine path)".to_string(),
-                Some(c) => format!("shards: on\n{}", c.describe().trim_end()),
-            }),
             Some("STORAGE") => Ok(match &self.storage {
                 None => {
                     format!("storage: {} (all rows and postings in RAM)", self.db.storage_label())
@@ -1469,7 +1362,7 @@ impl Shell {
             }
             Some("FLIGHT") => Ok(self.show_flight()),
             _ => Err(err("usage: SHOW METRICS | BUDGET | FAULTS | DURABILITY | BACKUPS | \
-                 HEALTH | REPLICATION | REPLICA <id> | REPAIR | SHARDS | CRITICAL PATH | \
+                 HEALTH | REPLICATION | REPLICA <id> | REPAIR | CRITICAL PATH | \
                  FLIGHT")),
         }
     }
@@ -1589,7 +1482,6 @@ const HELP: &str = "commands:
   SET DURABILITY '<dir>' [EVERY <n>] [SYNC BATCH] [ARCHIVE '<adir>'] | OFF;
   SET ARCHIVE '<dir>';
   SET REPLICAS <n> '<dir>' [QUORUM <q>] [NETFAULTS <seed> <rate>] | OFF;
-  SET SHARDS <n> | OFF;
   SET STORAGE DISK '<dir>' [POOL <frames>] | MEM;
   PROMOTE [<id>];
   SCRUB;   REJOIN [<node>];   RECOVER INGEST;
@@ -1599,7 +1491,7 @@ const HELP: &str = "commands:
   SCRUB BACKUP '<dir>';   SHOW BACKUPS;
   SHOW BUDGET;   SHOW FAULTS;   SHOW DURABILITY;   SHOW HEALTH;
   SHOW REPLICATION;   SHOW REPLICA <id> [STALENESS <n>];   SHOW REPAIR;
-  SHOW SHARDS;   SHOW STORAGE;
+  SHOW STORAGE;
   SAVE '<path>';   LOAD '<path>';
   HELP;   EXIT;";
 
@@ -2207,43 +2099,6 @@ mod tests {
         assert!(sh.exec("HELP").expect("shell operation should succeed").contains("ANNOTATE"));
         assert!(sh.exec("FROBNICATE").is_err());
         assert_eq!(sh.exec("   ").expect("shell operation should succeed"), "");
-    }
-
-    #[test]
-    fn sharded_session_routes_annotate_and_reports_health() {
-        let mut sh = shell();
-        assert!(sh
-            .exec("SHOW SHARDS")
-            .expect("shell operation should succeed")
-            .contains("shards: off"));
-
-        let on = sh.exec("SET SHARDS 2").expect("shell operation should succeed");
-        assert!(on.contains("shards: 2"), "{on}");
-        let out = sh
-            .exec("ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'")
-            .expect("shell operation should succeed");
-        assert!(out.contains("via shard"), "{out}");
-        // The merged shard state is mirrored back into the shell's store.
-        let notes = sh.exec("ANNOTATIONS gene 'JW0005'").expect("shell operation should succeed");
-        assert!(notes.contains("correlates"), "{notes}");
-
-        let status = sh.exec("SHOW SHARDS").expect("shell operation should succeed");
-        assert!(status.contains("2 shards"), "{status}");
-        assert!(status.contains("epoch 0"), "{status}");
-        assert!(status.contains("shard 0"), "{status}");
-        assert!(status.contains("shard 1"), "{status}");
-
-        // Mutations that bypass the router are fenced off while sharded.
-        assert!(sh.exec("DELETE gene 'JW0001'").is_err());
-        assert!(sh.exec("SET DURABILITY '/tmp/nowhere'").is_err());
-        assert!(sh.exec("SET REPLICAS 1 '/tmp/nowhere'").is_err());
-
-        let off = sh.exec("SET SHARDS OFF").expect("shell operation should succeed");
-        assert!(off.contains("shards: off"), "{off}");
-        // The annotation survives the collapse back to one engine.
-        let notes = sh.exec("ANNOTATIONS gene 'JW0005'").expect("shell operation should succeed");
-        assert!(notes.contains("correlates"), "{notes}");
-        assert!(sh.exec("SET SHARDS 0").is_err(), "zero shards is rejected");
     }
 
     #[test]

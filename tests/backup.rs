@@ -2,7 +2,7 @@
 //! at **every** record boundary of a hostile 500-record batch, a bundle
 //! captured mid-batch under a fixed fault seed restores byte-identically,
 //! injected archive rot is fully detected with zero false positives,
-//! whole clusters (replicated and sharded) cold-start from one bundle,
+//! a replicated cluster cold-starts from one bundle,
 //! retention GC never deletes the oldest restorable point, and the
 //! checked-in sample bundle guards the on-disk format byte-for-byte.
 
@@ -329,20 +329,14 @@ fn archive_rot_is_fully_detected_with_zero_false_positives() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// One bundle seeds everything: a replicated cluster cold-starts from it
-/// with every replica byte-identical to the source, keeps replicating
-/// past the bundle's head, and a shard cluster boots from the same
-/// bundle with all shards converged (scrub finds no divergence).
+/// One bundle seeds a replicated cluster: it cold-starts with every
+/// replica byte-identical to the source and keeps replicating past the
+/// bundle's head.
 #[test]
-fn clusters_and_shards_seed_from_one_bundle_and_converge() {
+fn replicated_cluster_seeds_from_one_bundle_and_converges() {
     let root = tmp("seed");
     let (bundle, ops) = hostile_ops(80);
     let take = 80.min(ops.len());
-    // The archived history covers the real dataset db (annotation ops
-    // never mutate it), so the bundle seeds shards that can run the full
-    // pipeline against real tables.
-    let workload = build_workload(&bundle, &WorkloadSpec::default(), 5);
-    let meta = bundle.meta.clone();
     let seed_store = fresh_store(&bundle);
     let (digests, _, store) = archived_history(&root, bundle.db, seed_store, &ops[..take], 16);
     let head = take as u64;
@@ -381,24 +375,6 @@ fn clusters_and_shards_seed_from_one_bundle_and_converge() {
         assert_eq!(r.applied(), head + 1, "replication continues past the bundle head");
         assert_eq!(r.digest(), cluster.primary().shadow_digest());
     }
-
-    // Shard cluster: boot from the same bundle, then prove convergence.
-    let mut shards = ShardCluster::seed_from_bundle(
-        &bundle_dir,
-        &meta,
-        &NebulaConfig::default(),
-        ShardConfig::new(3),
-    )
-    .expect("shard cluster seeds from the bundle");
-    let wa = workload
-        .iter()
-        .flat_map(|s| &s.annotations)
-        .find(|wa| !wa.ideal.is_empty())
-        .expect("workload annotation");
-    shards.ingest(&wa.annotation, &[wa.ideal[0]]).expect("seeded shards ingest");
-    let outcome = shards.scrub().expect("scrub");
-    assert_eq!(outcome.checked, 3);
-    assert!(outcome.divergent.is_empty(), "seeded shards diverged: {outcome:?}");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -27,10 +27,7 @@ use nebula::nebula_backup::{
 };
 use nebula::nebula_durable::{checkpoint, inject_rot, Durability};
 use nebula::nebula_govern::set_fault_plan;
-use nebula::nebula_replica::{
-    compose_schedule, compose_schedule_with_backup, compose_schedule_with_disk,
-    compose_schedule_with_shards, NemesisEvent,
-};
+use nebula::nebula_replica::{compose_schedule, NemesisDims, NemesisEvent};
 use nebula::nebula_workload::{build_workload, WorkloadSpec};
 use nebula::prelude::*;
 use std::path::{Path, PathBuf};
@@ -67,7 +64,7 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
     let mut dims = (0usize, 0usize, 0usize, 0usize, 0usize);
 
     for seed in SEEDS {
-        let plan = compose_schedule(seed, REPLICAS, OPS);
+        let plan = compose_schedule(seed, REPLICAS, NemesisDims::CORE, OPS);
         let (p, c, r, f, b) = plan.disruption_counts();
         dims = (dims.0 + p, dims.1 + c, dims.2 + r, dims.3 + f, dims.4 + b);
 
@@ -234,20 +231,15 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
                         }
                     }
                 }
-                // Unsharded, disk-off, backup-off schedules compose no
-                // shard, disk, or backup events.
-                NemesisEvent::ShardPartition { .. }
-                | NemesisEvent::ShardHeal { .. }
-                | NemesisEvent::ShardBitRot { .. }
-                | NemesisEvent::ShardFailover { .. }
-                | NemesisEvent::PageRot
+                // Core schedules compose no disk or backup events.
+                NemesisEvent::PageRot
                 | NemesisEvent::PageFsyncFail
                 | NemesisEvent::EvictStorm
                 | NemesisEvent::Backup
                 | NemesisEvent::ArchiveRot
                 | NemesisEvent::BackupScrub
                 | NemesisEvent::RestoreCheck => {
-                    unreachable!("seed {seed:#x}: shard/disk/backup event in a core schedule")
+                    unreachable!("seed {seed:#x}: disk/backup event in a core schedule")
                 }
             }
         }
@@ -351,7 +343,7 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
     assert!(bursts > 0, "no bursts across the seed suite");
 }
 
-/// `NEBULA_FAULT_SEED` pins the sharded soak's schedule seed (hex with a
+/// `NEBULA_FAULT_SEED` pins the paged soak's schedule seed (hex with a
 /// `0x` prefix or decimal); CI sweeps 0xF00D and 0xBAD5EED.
 fn fault_seed() -> u64 {
     std::env::var("NEBULA_FAULT_SEED")
@@ -364,196 +356,6 @@ fn fault_seed() -> u64 {
             }
         })
         .unwrap_or(0xF00D)
-}
-
-/// `NEBULA_SHARDS` pins the sharded soak's shard count; CI sweeps 1/2/4.
-fn shard_count() -> usize {
-    std::env::var("NEBULA_SHARDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(3)
-}
-
-/// The fixed-seed sharded soak: the same nemesis composer, pointed at the
-/// scatter-gather cluster. Shard partitions degrade ingest to typed
-/// partial results (never an error), heals replay the missed batches,
-/// single-shard bit-rot is localized and repaired by the adjacent scrub,
-/// and shard failovers rebuild under a bumped fencing epoch. At the end
-/// the merged image is byte-identical to an unsharded twin replayed from
-/// the cluster's own durable history.
-#[test]
-fn sharded_nemesis_soak_reconverges_byte_identically() {
-    const SHARD_OPS: u64 = 240;
-    let seed = fault_seed();
-    let shards = shard_count();
-    let plan = compose_schedule_with_shards(seed, 0, shards, SHARD_OPS);
-    let (shard_partitions, shard_rots, shard_failovers) = plan.shard_disruption_counts();
-    if matches!(seed, 0xF00D | 0xBAD5EED) && shards > 1 {
-        // The CI seeds are known to disrupt the shard dimension at this
-        // length (at shards > 1, where partitions compose); an arbitrary
-        // seed — or a single-shard schedule — may come out calm.
-        assert!(
-            shard_partitions + shard_rots + shard_failovers > 0,
-            "seed {seed:#x}: the schedule must disrupt the shard dimension"
-        );
-    }
-
-    let bundle = generate_dataset(&DatasetSpec::tiny(), 0x5E_AC);
-    let workload = build_workload(&bundle, &WorkloadSpec::default(), 21);
-    let source: Vec<_> =
-        workload.iter().flat_map(|s| &s.annotations).filter(|wa| !wa.ideal.is_empty()).collect();
-    assert!(!source.is_empty());
-
-    let mut cluster = ShardCluster::new(
-        &bundle.db,
-        &bundle.annotations,
-        &bundle.meta,
-        &NebulaConfig { search_mode: SearchMode::Full, ..NebulaConfig::default() },
-        ShardConfig::new(shards),
-    )
-    .expect("cluster boots");
-
-    let mut next = 0usize;
-    let mut dark: Option<usize> = None;
-    // A healed shard keeps degrading (typed!) until its breaker re-arms
-    // through the half-open probe; track it until the first clean result.
-    let mut recovering: Option<usize> = None;
-    let mut rot_pending: Option<usize> = None;
-    let mut failovers_run = 0u64;
-    for event in &plan.events {
-        match *event {
-            NemesisEvent::Ingest(n) | NemesisEvent::Burst(n) => {
-                for _ in 0..n {
-                    let wa = source[next % source.len()];
-                    next += 1;
-                    let outcome = cluster
-                        .ingest(&wa.annotation, &[wa.ideal[0]])
-                        .expect("seed {seed:#x}: ingest survives every disruption");
-                    if let Some(d) = dark {
-                        // A dark shard may only ever surface as a typed
-                        // partial naming it — never a silent omission.
-                        for deg in &outcome.degradations {
-                            if let Degradation::PartialShards { missing, .. } = deg {
-                                assert_eq!(
-                                    missing,
-                                    &vec![d],
-                                    "seed {seed:#x}: partial names the dark shard"
-                                );
-                            }
-                        }
-                    } else if let Some(r) = recovering {
-                        if cluster.breaker_state(r) == nebula::nebula_ingest::BreakerState::Closed
-                            && outcome.degradations.is_empty()
-                        {
-                            recovering = None;
-                        } else {
-                            for deg in &outcome.degradations {
-                                assert!(
-                                    matches!(
-                                        deg,
-                                        Degradation::PartialShards { missing, .. }
-                                            if missing == &vec![r]
-                                    ),
-                                    "seed {seed:#x}: re-arming shard {r}: {deg}"
-                                );
-                            }
-                        }
-                    } else {
-                        assert!(
-                            outcome.degradations.is_empty(),
-                            "seed {seed:#x}: healthy cluster degraded: {:?}",
-                            outcome.degradations
-                        );
-                    }
-                }
-            }
-            NemesisEvent::ShardPartition { shard } => {
-                cluster.partition_shard(shard);
-                dark = Some(shard);
-            }
-            NemesisEvent::ShardHeal { shard } => {
-                cluster.heal_shard(shard);
-                dark = None;
-                recovering = Some(shard);
-                assert!(
-                    cluster.lagging().is_empty(),
-                    "seed {seed:#x}: healed shard {shard} caught up"
-                );
-            }
-            NemesisEvent::ShardBitRot { shard } => {
-                cluster.corrupt_shard(shard).expect("bit-rot injection");
-                rot_pending = Some(shard);
-            }
-            NemesisEvent::Scrub => {
-                let outcome = cluster.scrub().expect("scrub");
-                if let Some(shard) = rot_pending.take() {
-                    // The composer schedules the scrub adjacent to the
-                    // rot: detection is before the rot can spread.
-                    assert_eq!(
-                        outcome.divergent,
-                        vec![shard],
-                        "seed {seed:#x}: scrub localizes the rot"
-                    );
-                    assert_eq!(
-                        outcome.repaired,
-                        vec![shard],
-                        "seed {seed:#x}: scrub repairs the rot"
-                    );
-                } else {
-                    assert!(
-                        outcome.divergent.is_empty(),
-                        "seed {seed:#x}: spontaneous divergence: {outcome:?}"
-                    );
-                }
-            }
-            NemesisEvent::ShardFailover { shard } => {
-                cluster.fail_shard(shard);
-                cluster.promote_shard(shard).expect("failover");
-                if recovering == Some(shard) {
-                    // The promoted replacement starts with a fresh breaker.
-                    recovering = None;
-                }
-                failovers_run += 1;
-                assert_eq!(cluster.epoch(), failovers_run, "seed {seed:#x}: epoch fences forward");
-            }
-            // Replica-, disk-, and backup-dimension events; a shard
-            // cluster has no replica set, durability directory, page
-            // file, or archive here, so these are calm stretches.
-            NemesisEvent::Partition { .. }
-            | NemesisEvent::Heal { .. }
-            | NemesisEvent::Corrupt { .. }
-            | NemesisEvent::BitRot
-            | NemesisEvent::Failover
-            | NemesisEvent::Rejoin
-            | NemesisEvent::PageRot
-            | NemesisEvent::PageFsyncFail
-            | NemesisEvent::EvictStorm
-            | NemesisEvent::Backup
-            | NemesisEvent::ArchiveRot
-            | NemesisEvent::BackupScrub
-            | NemesisEvent::RestoreCheck => {}
-        }
-    }
-
-    assert_eq!(next as u64, SHARD_OPS, "seed {seed:#x}: the schedule offered every item");
-    assert!(cluster.lagging().is_empty(), "seed {seed:#x}: nothing lagging at rest");
-    assert!(cluster.divergent().is_empty(), "seed {seed:#x}: nothing divergent at rest");
-    let final_scrub = cluster.scrub().expect("final scrub");
-    assert!(final_scrub.divergent.is_empty(), "seed {seed:#x}: clean at rest");
-    for h in cluster.health() {
-        assert!(h.healthy(), "seed {seed:#x}: unhealthy at rest: {h}");
-        assert_eq!(h.epoch, failovers_run, "seed {seed:#x}: every shard on the final epoch");
-    }
-
-    // Byte-identical reconvergence with the unsharded twin replayed from
-    // the cluster's own durable history.
-    let twin = cluster.rebuild_twin().expect("twin");
-    assert_eq!(
-        cluster.merged_checkpoint().expect("merged image"),
-        twin.checkpoint(),
-        "seed {seed:#x}: merged shards == unsharded twin"
-    );
 }
 
 /// The fixed-seed paged-storage soak: the same nemesis composer with the
@@ -577,8 +379,8 @@ fn paged_nemesis_soak_matches_ram_twin_byte_for_byte() {
 
     const PAGED_OPS: u64 = 600;
     let seed = fault_seed();
-    let plan = compose_schedule_with_disk(seed, 0, 0, true, PAGED_OPS);
-    assert!(plan.disk);
+    let plan = compose_schedule(seed, 0, NemesisDims::DISK, PAGED_OPS);
+    assert!(plan.dims.disk);
     let (page_rots, fsync_fails, evict_storms) = plan.disk_disruption_counts();
     assert!(page_rots > 0, "seed {seed:#x}: no page rot composed");
     assert!(fsync_fails > 0, "seed {seed:#x}: no fsync failures composed");
@@ -738,7 +540,7 @@ fn paged_nemesis_soak_matches_ram_twin_byte_for_byte() {
                     );
                 }
             }
-            // No replicas, shards, or archive in this soak: the composer
+            // No replicas or archive in this soak: the composer
             // still emits core failover/rot beats, which have no surface
             // here.
             NemesisEvent::Partition { .. }
@@ -747,10 +549,6 @@ fn paged_nemesis_soak_matches_ram_twin_byte_for_byte() {
             | NemesisEvent::BitRot
             | NemesisEvent::Failover
             | NemesisEvent::Rejoin
-            | NemesisEvent::ShardPartition { .. }
-            | NemesisEvent::ShardHeal { .. }
-            | NemesisEvent::ShardBitRot { .. }
-            | NemesisEvent::ShardFailover { .. }
             | NemesisEvent::Backup
             | NemesisEvent::ArchiveRot
             | NemesisEvent::BackupScrub
@@ -823,7 +621,7 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
     let mut dims = (0usize, 0usize, 0usize, 0usize);
 
     for seed in [0xBAD5EEDu64, 0xDEAD] {
-        let plan = compose_schedule_with_backup(seed, REPLICAS, 0, false, true, OPS);
+        let plan = compose_schedule(seed, REPLICAS, NemesisDims::BACKUP, OPS);
         let (backups, arch_rots, bscrubs, checks) = plan.backup_disruption_counts();
         dims = (dims.0 + backups, dims.1 + arch_rots, dims.2 + bscrubs, dims.3 + checks);
         assert!(backups > 0, "seed {seed:#x}: the schedule captures a bundle");
@@ -1066,14 +864,8 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
                     );
                     restores_proven += 1;
                 }
-                NemesisEvent::ShardPartition { .. }
-                | NemesisEvent::ShardHeal { .. }
-                | NemesisEvent::ShardBitRot { .. }
-                | NemesisEvent::ShardFailover { .. }
-                | NemesisEvent::PageRot
-                | NemesisEvent::PageFsyncFail
-                | NemesisEvent::EvictStorm => {
-                    unreachable!("seed {seed:#x}: shard/disk event in a backup schedule")
+                NemesisEvent::PageRot | NemesisEvent::PageFsyncFail | NemesisEvent::EvictStorm => {
+                    unreachable!("seed {seed:#x}: disk event in a backup schedule")
                 }
             }
         }

@@ -179,52 +179,6 @@ proptest! {
         }
     }
 
-    /// Shard assignment is a pure function of (key, shard count): two
-    /// routers built for the same count agree on every tuple, the result
-    /// is within range, and it is insensitive to construction order.
-    #[test]
-    fn shard_routing_is_pure(
-        table in 0u32..8,
-        row in 0u64..100_000,
-        shards in 1usize..=nebula::nebula_ingest::SLOTS,
-    ) {
-        use nebula::nebula_ingest::{slot_of, ShardRouter};
-        let tuple = TupleId { table: relstore::TableId(table), row };
-        let a = ShardRouter::new(shards);
-        let b = ShardRouter::new(shards);
-        let shard = a.route_tuple(tuple);
-        prop_assert!(shard < shards, "assignment in range");
-        prop_assert_eq!(shard, b.route_tuple(tuple), "same (key, count) => same shard");
-        prop_assert_eq!(shard, a.shard_of_slot(slot_of(tuple)), "routes through the slot map");
-        // The focal router follows the first focal tuple.
-        prop_assert_eq!(a.route(&[tuple]), shard);
-        prop_assert_eq!(a.route(&[]), 0, "empty focal pins shard 0");
-    }
-
-    /// Rebalancing from N to M shards moves exactly the keys whose hash
-    /// slot changed owner — every other tuple stays put.
-    #[test]
-    fn rebalancing_moves_only_remapped_slots(
-        rows in proptest::collection::vec((0u32..8, 0u64..100_000), 1..64),
-        from in 1usize..=16,
-        to in 1usize..=16,
-    ) {
-        use nebula::nebula_ingest::{slot_of, ShardRouter};
-        let old = ShardRouter::new(from);
-        let (new, moved_slots) = old.rebalance(to);
-        prop_assert_eq!(new.shards(), to.min(nebula::nebula_ingest::SLOTS));
-        for (table, row) in rows {
-            let tuple = TupleId { table: relstore::TableId(table), row };
-            let slot = slot_of(tuple);
-            let before = old.route_tuple(tuple);
-            let after = new.route_tuple(tuple);
-            if moved_slots.contains(&slot) {
-                prop_assert_ne!(before, after, "a moved slot changed owner");
-            } else {
-                prop_assert_eq!(before, after, "an unmoved slot kept its owner");
-            }
-        }
-    }
     /// The page-file header decoder is total over arbitrary page bytes:
     /// hostile images are rejected cleanly, a sealed legitimate header
     /// roundtrips, and reseal-after-tamper still trips the field checks.

@@ -243,37 +243,6 @@ fn every_written_metric_is_listed_in_the_registry() {
     nebula_obs::trace::flight_dump("ingest.wedged");
     nebula_obs::trace::set_enabled(false);
 
-    // Sharding: a three-shard cluster with a partition, heal, failover,
-    // and scrub, so the shard.* counters and gauges are all written.
-    let mut shards = ShardCluster::new(
-        &st.bundle.db,
-        &st.bundle.annotations,
-        &st.bundle.meta,
-        &NebulaConfig::default(),
-        ShardConfig::new(3),
-    )
-    .expect("shard cluster boots");
-    let shard_items: Vec<_> = st
-        .workload
-        .iter()
-        .flat_map(|s| &s.annotations)
-        .filter(|wa| !wa.ideal.is_empty())
-        .take(10)
-        .collect();
-    let mut shard_iter = shard_items.iter();
-    for wa in shard_iter.by_ref().take(2) {
-        shards.ingest(&wa.annotation, &[wa.ideal[0]]).expect("sharded ingest");
-    }
-    shards.partition_shard(2);
-    for wa in shard_iter.by_ref().take(4) {
-        shards.ingest(&wa.annotation, &[wa.ideal[0]]).expect("degraded sharded ingest");
-    }
-    shards.heal_shard(2);
-    shards.fail_shard(1);
-    shards.promote_shard(1).expect("failover");
-    shards.corrupt_shard(0).expect("bit-rot injection");
-    shards.scrub().expect("scrub");
-
     // Disaster recovery: archive, capture, verify, restore, seeded rot,
     // scrub, and retention GC, so the backup.* counters are all written.
     let bdir = std::env::temp_dir()
@@ -349,25 +318,6 @@ fn every_written_metric_is_listed_in_the_registry() {
     assert!(snap.counters.contains_key("trace.flight_events"), "{:?}", snap.counters);
     assert!(snap.counters.contains_key("trace.flight_dumps"), "{:?}", snap.counters);
     assert!(snap.gauges.contains_key("trace.ring_occupancy"), "{:?}", snap.gauges);
-    // And the sharding names, via the scatter-gather cluster above.
-    for name in [
-        "shard.annotations_routed",
-        "shard.probes_sent",
-        "shard.probes_answered",
-        "shard.probes_timed_out",
-        "shard.partial_results",
-        "shard.applies_sent",
-        "shard.apply_acks",
-        "shard.batches_applied",
-        "shard.failovers",
-        "shard.digest_divergences",
-        "shard.repairs",
-    ] {
-        assert!(snap.counters.contains_key(name), "missing {name}: {:?}", snap.counters);
-    }
-    assert!(snap.gauges.contains_key("shard.shards"), "{:?}", snap.gauges);
-    assert!(snap.gauges.contains_key("shard.epoch"), "{:?}", snap.gauges);
-    assert!(snap.gauges.contains_key("shard.lagging"), "{:?}", snap.gauges);
     // And the disaster-recovery names, via the backup round trip above.
     for name in [
         "backup.bases_archived",
